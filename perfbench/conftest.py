@@ -1,0 +1,8 @@
+"""Put the checkout's ``src`` on the import path for the self-tests."""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
