@@ -4,7 +4,7 @@ Runs the same 500k-query scenario (B+ tree store, steady read-only
 uniform workload) through both driver paths: the retained scalar/heap
 reference (``use_batching=False``) and the batched pipeline
 (``use_batching=True`` — vectorized generation, ``execute_batch`` with
-bulk index lookups, the FIFO prefix-sum kernel, and block appends into
+bulk index lookups, the FIFO queueing loop, and block appends into
 the columnar recorder).
 
 Both paths consume the same :class:`QueryBatch` per segment, so the

@@ -1,34 +1,50 @@
-"""Vectorized FIFO queueing kernels for the batched driver.
+"""Exact FIFO queueing loops for the batched driver.
 
 The scalar driver computes, per query, ``start = max(arrival, free)``,
 ``completion = start + service``, ``free = completion``. This module
-reproduces that recurrence bit-exactly over whole arrays by exploiting
-its structure: the timeline decomposes into *idle runs* (every query
-starts at its own arrival, so ``completion = arrival + service``
-elementwise) and *busy chains* (each query starts at the previous
-completion, so completions are a prefix sum seeded with the server's
-free time — and ``np.cumsum`` accumulates left-to-right, matching the
-scalar addition order exactly). The kernel alternates between the two
-regimes with an adaptive chunk size.
+runs that recurrence over whole blocks as one plain loop with Python
+float arithmetic. It reads the input columns through zero-copy
+``memoryview`` objects and appends results to ``array("d")`` buffers
+that numpy then wraps without copying, so a block costs 8 bytes per
+value, not a Python float object per value. The comparison is written
+``free if free > arrival else arrival`` — exactly what Python's
+``max(arrival, free)`` returns, ties and NaN included — so every
+timestamp is bit-identical to the scalar loop at any block boundary.
 
-The kernel itself is oblivious to ticks and faults: the batched driver
+:func:`fifo_single_server` threads one server's free time through
+consecutive calls; :func:`fifo_k_servers` runs the same loop for
+``servers > 1`` over a min-heap of per-server free times, which it
+updates in place. The driver makes exactly one call per block.
+
+Both loops are oblivious to ticks and faults: the batched driver
 slices each segment's batch at every interrupt boundary (tick
-checkpoints and :mod:`repro.faults` point faults), so a single kernel
-call never spans an online retrain or an outage, and window-fault
-service perturbation happens *before* queueing (arrival-keyed, via
-:meth:`repro.faults.FaultClock.perturb_batch`). ``servers > 1``
-bypasses this module and keeps the per-query heap inside the batch
-loop.
+checkpoints and :mod:`repro.faults` point faults), so a single call
+never spans an online retrain or an outage, and window-fault service
+perturbation happens *before* queueing (arrival-keyed, via
+:meth:`repro.faults.FaultClock.perturb_batch`).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import heapq
+from array import array
+from typing import List, Tuple
 
 import numpy as np
 
-_MIN_CHUNK = 32
-_MAX_CHUNK = 4096
+from repro.errors import DriverError
+
+
+def _columns(arrivals, services) -> Tuple[memoryview, memoryview]:
+    """Both columns as float64 views, refusing mismatched lengths."""
+    arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
+    services = np.ascontiguousarray(services, dtype=np.float64)
+    if arrivals.size != services.size:
+        raise DriverError(
+            f"FIFO queueing needs one service time per arrival: "
+            f"{arrivals.size} arrivals, {services.size} services"
+        )
+    return memoryview(arrivals), memoryview(services)
 
 
 def fifo_single_server(
@@ -44,41 +60,58 @@ def fifo_single_server(
     Returns:
         ``(starts, completions, new_free)`` — identical, element for
         element, to the scalar ``max``/``+`` loop at the same inputs.
+
+    Raises:
+        DriverError: ``arrivals`` and ``services`` differ in length.
     """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    services = np.asarray(services, dtype=np.float64)
-    n = arrivals.size
-    starts = np.empty(n, dtype=np.float64)
-    completions = np.empty(n, dtype=np.float64)
-    i = 0
-    chunk = _MIN_CHUNK
-    while i < n:
-        j = min(n, i + chunk)
-        a = arrivals[i:j]
-        s = services[i:j]
-        if a[0] >= free:
-            # Idle run: starts at arrivals. Valid until an arrival lands
-            # before its predecessor's completion (strictly — a tie still
-            # starts at the arrival, same value either way).
-            c = a + s
-            viol = np.flatnonzero(a[1:] < c[:-1])
-            k = int(viol[0]) + 1 if viol.size else a.size
-            starts[i : i + k] = a[:k]
-            completions[i : i + k] = c[:k]
-        else:
-            # Busy chain: starts at previous completions. cumsum is a
-            # sequential left-to-right accumulate, so seeding it with
-            # ``free`` reproduces the scalar addition chain exactly.
-            seq = np.empty(a.size + 1, dtype=np.float64)
-            seq[0] = free
-            seq[1:] = s
-            cs = np.cumsum(seq)
-            c = cs[1:]
-            viol = np.flatnonzero(a[1:] >= c[:-1])
-            k = int(viol[0]) + 1 if viol.size else a.size
-            starts[i : i + k] = cs[:k]
-            completions[i : i + k] = c[:k]
-        free = float(completions[i + k - 1])
-        i += k
-        chunk = min(_MAX_CHUNK, chunk * 2) if k == a.size else _MIN_CHUNK
-    return starts, completions, free
+    starts = array("d")
+    completions = array("d")
+    for a, s in zip(*_columns(arrivals, services)):
+        start = free if free > a else a
+        free = start + s
+        starts.append(start)
+        completions.append(free)
+    return (
+        np.frombuffer(starts, dtype=np.float64),
+        np.frombuffer(completions, dtype=np.float64),
+        free,
+    )
+
+
+def fifo_k_servers(
+    arrivals: np.ndarray, services: np.ndarray, server_free: List[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact FIFO start/completion times over ``k`` parallel servers.
+
+    Each query takes the earliest-free server: the heap's minimum is
+    replaced by the query's completion (``heapq.heapreplace``).
+
+    Args:
+        arrivals: Ascending arrival timestamps.
+        services: Per-query service times (already clamped > 0).
+        server_free: Min-heap of per-server free times; updated in place.
+
+    Returns:
+        ``(starts, completions)`` — identical, element for element, to
+        the scalar ``heappop``/``max``/``+``/``heappush`` loop, which
+        also leaves the same multiset of free times in the heap.
+
+    Raises:
+        DriverError: ``arrivals`` and ``services`` differ in length, or
+            ``server_free`` is empty.
+    """
+    if not server_free:
+        raise DriverError("FIFO queueing needs at least one server")
+    starts = array("d")
+    completions = array("d")
+    for a, s in zip(*_columns(arrivals, services)):
+        free = server_free[0]
+        start = free if free > a else a
+        completion = start + s
+        heapq.heapreplace(server_free, completion)
+        starts.append(start)
+        completions.append(completion)
+    return (
+        np.frombuffer(starts, dtype=np.float64),
+        np.frombuffer(completions, dtype=np.float64),
+    )

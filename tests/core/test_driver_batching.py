@@ -10,15 +10,17 @@ deferred observation hooks, block appends — is under test here.
 
 from __future__ import annotations
 
+import heapq
 from typing import List, Optional
 
 import numpy as np
 import pytest
 
 from repro.core.driver import DriverConfig, VirtualClockDriver
-from repro.core.queueing import fifo_single_server
+from repro.core.queueing import fifo_k_servers, fifo_single_server
 from repro.core.scenario import Scenario, Segment
 from repro.core.sut import SystemUnderTest
+from repro.errors import DriverError
 from repro.observability import NullTracer, Tracer
 from repro.suts.kv_learned import LearnedKVStore
 from repro.suts.kv_traditional import TraditionalKVStore
@@ -117,6 +119,29 @@ class TestBatchedEqualsScalar:
             LearnedKVStore, _mixed_scenario, servers=servers
         )
         _assert_identical(batched, scalar)
+
+    def test_k_server_heap_threads_across_blocks(self):
+        """Four servers near saturation, cut into small blocks: most
+        queries wait on completions from earlier blocks, so the heap of
+        free times must carry from one queueing call to the next."""
+
+        def busy_scenario():
+            spec = simple_spec(
+                "busy", UniformDistribution(0, 1000), rate=11_000.0
+            )
+            return Scenario(
+                name="busy",
+                segments=[Segment(spec=spec, duration=0.5)],
+                seed=3,
+                initial_keys=np.linspace(0, 1000, 2000),
+            )
+
+        batched, scalar = _run_both(
+            TraditionalKVStore, busy_scenario, servers=4, block_size=50
+        )
+        _assert_identical(batched, scalar)
+        cols = batched.columns
+        assert np.mean(cols.starts > cols.arrivals) > 0.5
 
     def test_zero_arrival_segment(self):
         """A rate-0 segment contributes no queries but still ticks."""
@@ -242,6 +267,24 @@ class TestExecuteOnlyFallback:
         )
 
 
+UTILISATIONS = [0.001, 0.3, 0.9, 0.99, 1.5]
+
+
+def _exponential_stream(seed: int, n: int, utilisation: float, servers: int = 1):
+    """Poisson arrivals at rate 1 with mean service ``servers × ρ``."""
+    rng = np.random.default_rng(seed)
+    arrivals = np.cumsum(rng.exponential(1.0, n))
+    services = rng.exponential(utilisation * servers, n)
+    return arrivals, services
+
+
+def _same_bits(x, y) -> bool:
+    """Bitwise float equality: distinguishes ±0.0, matches NaN to NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 class TestFifoKernel:
     @staticmethod
     def _scalar_fifo(arrivals, services, free):
@@ -285,3 +328,150 @@ class TestFifoKernel:
         assert starts.tolist() == [0.0, 1.0, 2.0]
         assert completions.tolist() == [1.0, 2.0, 3.0]
         assert free == 3.0
+
+    @pytest.mark.parametrize("utilisation", UTILISATIONS)
+    def test_matches_scalar_loop_at_utilisation(self, utilisation):
+        """Idle-dominated through overloaded exponential streams."""
+        arrivals, services = _exponential_stream(5, 20_000, utilisation)
+        ref = self._scalar_fifo(arrivals, services, 0.0)
+        got = fifo_single_server(arrivals, services, 0.0)
+        assert _same_bits(ref[0], got[0])
+        assert _same_bits(ref[1], got[1])
+        assert _same_bits(ref[2], got[2])
+        waited = np.count_nonzero(got[0] > arrivals)
+        if utilisation >= 0.9:
+            assert waited > arrivals.size // 2
+        if utilisation <= 0.001:
+            assert waited < arrivals.size // 100
+
+    @pytest.mark.parametrize("utilisation", UTILISATIONS)
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_block_chained_equals_single_shot(self, utilisation, block):
+        """Threading ``free`` through blocks changes no timestamp."""
+        arrivals, services = _exponential_stream(6, 5_000, utilisation)
+        whole = fifo_single_server(arrivals, services, 0.25)
+        starts, completions, free = [], [], 0.25
+        for lo in range(0, arrivals.size, block):
+            s, c, free = fifo_single_server(
+                arrivals[lo : lo + block], services[lo : lo + block], free
+            )
+            starts.append(s)
+            completions.append(c)
+        assert _same_bits(whole[0], np.concatenate(starts))
+        assert _same_bits(whole[1], np.concatenate(completions))
+        assert _same_bits(whole[2], free)
+
+    @pytest.mark.parametrize(
+        "arrivals, services, free",
+        [
+            ([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 1.0),
+            ([0.0, -0.0, 0.0], [0.0, -0.0, 0.0], -0.0),
+            ([-0.0, 0.0], [-0.0, -0.0], 0.0),
+            ([0.0, float("nan"), 2.0], [1.0, 1.0, 1.0], 0.0),
+            ([0.0, 1.0, 2.0], [1.0, float("nan"), 1.0], 0.0),
+            ([0.0, 1.0], [1.0, 1.0], float("nan")),
+            ([0.0, 1.0], [float("inf"), 1.0], 0.0),
+        ],
+        ids=["ties", "signed-zero-free", "signed-zero-arrival",
+             "nan-arrival", "nan-service", "nan-free", "inf-service"],
+    )
+    def test_tie_and_nan_semantics_match_scalar(self, arrivals, services, free):
+        """Same bits as Python's ``max``/``+`` on ties, ±0.0 and NaN."""
+        ref = self._scalar_fifo(arrivals, services, free)
+        got = fifo_single_server(
+            np.asarray(arrivals), np.asarray(services), free
+        )
+        assert _same_bits(ref[0], got[0])
+        assert _same_bits(ref[1], got[1])
+        assert _same_bits(ref[2], got[2])
+
+    @pytest.mark.parametrize("n_arrivals, n_services", [(3, 5), (5, 3), (0, 1)])
+    def test_length_mismatch_raises(self, n_arrivals, n_services):
+        with pytest.raises(DriverError, match="arrivals"):
+            fifo_single_server(np.arange(n_arrivals), np.ones(n_services))
+
+
+class TestFifoKServers:
+    """``fifo_k_servers`` against the scalar driver's heap loop."""
+
+    @staticmethod
+    def _heap_fifo(arrivals, services, server_free):
+        starts, completions = [], []
+        for a, s in zip(arrivals, services):
+            free = heapq.heappop(server_free)
+            start = max(float(a), free)
+            completion = start + float(s)
+            heapq.heappush(server_free, completion)
+            starts.append(start)
+            completions.append(completion)
+        return np.asarray(starts), np.asarray(completions)
+
+    def _assert_matches_reference(self, arrivals, services, heap):
+        ref_heap = list(heap)
+        ref = self._heap_fifo(arrivals, services, ref_heap)
+        got = fifo_k_servers(arrivals, services, heap)
+        assert _same_bits(ref[0], got[0])
+        assert _same_bits(ref[1], got[1])
+        assert sorted(heap) == sorted(ref_heap)
+        return got
+
+    @pytest.mark.parametrize("k", [2, 4, 7])
+    @pytest.mark.parametrize("utilisation", UTILISATIONS)
+    def test_matches_heap_loop(self, k, utilisation):
+        arrivals, services = _exponential_stream(7, 10_000, utilisation, k)
+        heap = [0.0] * k
+        starts, _ = self._assert_matches_reference(arrivals, services, heap)
+        assert len(heap) == k
+        if utilisation >= 0.99:
+            assert np.count_nonzero(starts > arrivals) > 0
+
+    @pytest.mark.parametrize("k", [2, 4, 7])
+    def test_duplicate_free_times_in_heap(self, k):
+        """Tied servers (e.g. after a crash blocks all of them)."""
+        rng = np.random.default_rng(k)
+        heap = [3.0] * (k - 1) + [1.5]
+        heapq.heapify(heap)
+        arrivals = np.sort(rng.uniform(0.0, 6.0, 400))
+        arrivals[10:20] = arrivals[10]
+        services = rng.choice([0.5, 1.0, 1.5], size=400)
+        self._assert_matches_reference(arrivals, services, heap)
+
+    @pytest.mark.parametrize("k", [2, 4, 7])
+    def test_block_chained_equals_single_shot(self, k):
+        arrivals, services = _exponential_stream(8, 5_000, 0.9, k)
+        whole_heap = [0.0] * k
+        whole = fifo_k_servers(arrivals, services, whole_heap)
+        heap = [0.0] * k
+        parts = [
+            fifo_k_servers(arrivals[lo : lo + 333], services[lo : lo + 333], heap)
+            for lo in range(0, arrivals.size, 333)
+        ]
+        assert _same_bits(whole[0], np.concatenate([p[0] for p in parts]))
+        assert _same_bits(whole[1], np.concatenate([p[1] for p in parts]))
+        assert sorted(heap) == sorted(whole_heap)
+
+    def test_single_server_heap_equals_single_server_kernel(self):
+        arrivals, services = _exponential_stream(9, 5_000, 0.99)
+        heap = [0.5]
+        starts, completions = fifo_k_servers(arrivals, services, heap)
+        ref = fifo_single_server(arrivals, services, 0.5)
+        assert _same_bits(starts, ref[0])
+        assert _same_bits(completions, ref[1])
+        assert heap == [ref[2]]
+
+    def test_empty_batch_leaves_heap(self):
+        heap = [1.0, 2.0]
+        starts, completions = fifo_k_servers(np.empty(0), np.empty(0), heap)
+        assert starts.size == 0 and completions.size == 0
+        assert heap == [1.0, 2.0]
+
+    def test_empty_heap_raises(self):
+        with pytest.raises(DriverError, match="server"):
+            fifo_k_servers(np.arange(3.0), np.ones(3), [])
+
+    @pytest.mark.parametrize("n_arrivals, n_services", [(3, 5), (5, 3)])
+    def test_length_mismatch_raises(self, n_arrivals, n_services):
+        heap = [0.0, 0.0]
+        with pytest.raises(DriverError, match="arrivals"):
+            fifo_k_servers(np.arange(n_arrivals), np.ones(n_services), heap)
+        assert heap == [0.0, 0.0]
