@@ -69,7 +69,7 @@ from repro.errors import RunnerError
 from repro.observability import Trace
 
 #: Manifest/cache schema version (bump to invalidate old cache entries).
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 @lru_cache(maxsize=1)

@@ -33,6 +33,8 @@ class IndexStats:
         retrains: Number of times the structure rebuilt or retrained.
         last_search_window: Width of the bounded search window used by
             the most recent learned lookup (0 for exact model hits).
+        bulk_cache_builds: Full rebuilds of a :meth:`OrderedIndex.bulk_lookup`
+            cache (host-side work; cost models ignore it).
     """
 
     lookups: int = 0
@@ -44,6 +46,7 @@ class IndexStats:
     model_evaluations: int = 0
     retrains: int = 0
     last_search_window: int = 0
+    bulk_cache_builds: int = 0
 
     def snapshot(self) -> "IndexStats":
         """Return a copy of the current counters."""
@@ -57,6 +60,7 @@ class IndexStats:
             model_evaluations=self.model_evaluations,
             retrains=self.retrains,
             last_search_window=self.last_search_window,
+            bulk_cache_builds=self.bulk_cache_builds,
         )
 
     def diff(self, earlier: "IndexStats") -> "IndexStats":
@@ -71,6 +75,7 @@ class IndexStats:
             model_evaluations=self.model_evaluations - earlier.model_evaluations,
             retrains=self.retrains - earlier.retrains,
             last_search_window=self.last_search_window,
+            bulk_cache_builds=self.bulk_cache_builds - earlier.bulk_cache_builds,
         )
 
 
@@ -128,9 +133,10 @@ class OrderedIndex(ABC):
         lookups, commit exactly the counter increments the equivalent
         sequence of :meth:`get` calls would have made to :attr:`stats`,
         and return a ``(comparisons, node_accesses, model_evaluations)``
-        tuple of per-key int arrays. Return ``None`` — with :attr:`stats`
-        untouched — when the bulk path is unsupported or any key would
-        miss; the caller then falls back to scalar :meth:`get` calls.
+        tuple of per-key int arrays. Return ``None`` — with the lookup
+        counters untouched — when the bulk path is unsupported or any key
+        would miss; the caller then falls back to scalar :meth:`get`
+        calls. Only ``bulk_cache_builds`` may move on either outcome.
         Default: unsupported.
         """
         return None

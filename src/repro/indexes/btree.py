@@ -24,7 +24,7 @@ from repro.indexes.base import OrderedIndex
 class _Node:
     """A B+ tree node; ``leaf`` nodes carry values, inner nodes children."""
 
-    __slots__ = ("keys", "children", "values", "next", "leaf")
+    __slots__ = ("keys", "children", "values", "next", "leaf", "__weakref__")
 
     def __init__(self, leaf: bool) -> None:
         self.leaf = leaf
@@ -95,22 +95,33 @@ class BPlusTree(OrderedIndex):
         descent equivalent to one global ``searchsorted`` over the
         flattened separators. Per-leaf comparison/node-access totals are
         precomputed along each root-to-leaf path. Returns ``False`` if the
-        separator invariant does not hold (unsupported shape).
+        separator invariant does not hold or a key is NaN (unsupported
+        shape: NaN compares false both ways, so neither order check nor
+        ``searchsorted`` routing can be trusted).
+
+        The walk uses an explicit stack: a self-referencing closure would
+        form a reference cycle that keeps every leaf alive until the
+        cyclic GC runs. Writes keep the result exact instead of dropping
+        it (see :meth:`bulk_lookup`).
         """
         seps: List[float] = []
         leaves: List[Tuple[_Node, int, int]] = []
-
-        def dfs(node: _Node, comps: int, depth: int) -> None:
+        # (node, comparisons so far, depth, separator preceding node)
+        stack: List[Tuple[_Node, int, int, Optional[float]]] = [
+            (self._root, 0, 0, None)
+        ]
+        while stack:
+            node, comps, depth, sep = stack.pop()
+            if sep is not None:
+                seps.append(sep)
             if node.leaf:
                 leaves.append((node, comps, depth))
-                return
-            step = max(1, len(node.keys).bit_length())
-            for i, child in enumerate(node.children):
-                if i > 0:
-                    seps.append(node.keys[i - 1])
-                dfs(child, comps + step, depth + 1)
-
-        dfs(self._root, 0, 0)
+                continue
+            step = comps + max(1, len(node.keys).bit_length())
+            for i in range(len(node.children) - 1, -1, -1):
+                stack.append(
+                    (node.children[i], step, depth + 1, node.keys[i - 1] if i else None)
+                )
         sep_arr = np.asarray(seps, dtype=np.float64)
         if sep_arr.size and (np.diff(sep_arr) < 0).any():
             return False
@@ -122,6 +133,8 @@ class BPlusTree(OrderedIndex):
         )
         if all_keys.size > 1 and (np.diff(all_keys) < 0).any():
             return False
+        if np.isnan(all_keys).any():
+            return False
         leaf_comps = np.asarray(
             [
                 comps + max(1, len(leaf.keys).bit_length())
@@ -132,10 +145,43 @@ class BPlusTree(OrderedIndex):
         leaf_na = np.asarray([depth + 1 for _, _, depth in leaves], dtype=np.int64)
         return sep_arr, all_keys, starts, ends, leaf_comps, leaf_na
 
+    def _patch_bulk_cache(self, key: float, idx: int, leaf_len: int) -> None:
+        """Add a new ``key``, stored at ``idx`` of a leaf that did not
+        split and now holds ``leaf_len`` keys, to the bulk cache in place.
+
+        The result equals a fresh :meth:`_build_bulk_cache`: separators
+        and paths are unchanged and one leaf grows by one key. A cache
+        exists only for a NaN-free tree with sorted separators, so
+        ``searchsorted`` routes a non-NaN key to the leaf the descent
+        reached; a NaN key drops the cache (the rebuild refuses it).
+        """
+        if key != key:
+            self._bulk_cache = None
+            return
+        sep_arr, all_keys, starts, ends, leaf_comps, leaf_na = self._bulk_cache
+        leaf = int(np.searchsorted(sep_arr, key, side="right"))
+        pos = int(starts[leaf]) + idx
+        ends[leaf:] += 1
+        starts[leaf + 1 :] += 1
+        leaf_comps[leaf] += max(1, leaf_len.bit_length()) - max(
+            1, (leaf_len - 1).bit_length()
+        )
+        all_keys = np.insert(all_keys, pos, key)
+        self._bulk_cache = (sep_arr, all_keys, starts, ends, leaf_comps, leaf_na)
+
     def bulk_lookup(self, keys) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Vectorized point lookups via one global separator search."""
+        """Vectorized point lookups via one global separator search.
+
+        The flattened cache is built on first use and kept in step with
+        writes: :meth:`insert` of a stored key (a value change) keeps it,
+        :meth:`insert` of a new key into a leaf that does not split
+        patches it in place, and any split, :meth:`delete` or
+        :meth:`bulk_load` drops it for a rebuild here. Full builds are
+        counted in ``stats.bulk_cache_builds``.
+        """
         if self._bulk_cache is None:
             self._bulk_cache = self._build_bulk_cache()
+            self.stats.bulk_cache_builds += 1
         cache = self._bulk_cache
         if cache is False:
             return None
@@ -160,7 +206,8 @@ class BPlusTree(OrderedIndex):
     # -- insert ---------------------------------------------------------------
 
     def insert(self, key: float, value: Any) -> None:
-        self._bulk_cache = None
+        if self._bulk_cache is False:
+            self._bulk_cache = None
         self.stats.inserts += 1
         root = self._root
         result = self._insert_into(root, key, value)
@@ -187,7 +234,10 @@ class BPlusTree(OrderedIndex):
             node.values.insert(idx, value)
             self._size += 1
             if len(node.keys) > self._order:
+                self._bulk_cache = None
                 return self._split_leaf(node)
+            if self._bulk_cache is not None:
+                self._patch_bulk_cache(key, idx, len(node.keys))
             return None
 
         idx = bisect.bisect_right(node.keys, key)

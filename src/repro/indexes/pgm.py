@@ -101,6 +101,8 @@ class PGMIndex(OrderedIndex):
         # _level_keys[k] = the key0 array of level k's segments.
         self._level_keys: List[np.ndarray] = []
         self._delta_keys: List[float] = []
+        # float64 twin of _delta_keys for bulk lookups, kept in step.
+        self._delta_arr: np.ndarray = np.empty(0, dtype=np.float64)
         self._delta_values: List[Any] = []
         self._tombstones: set = set()
         # (retrains, gathered per-level segment params) for bulk lookups.
@@ -141,6 +143,7 @@ class PGMIndex(OrderedIndex):
         self._keys = np.asarray(keys, dtype=np.float64)
         self._values = values
         self._delta_keys = []
+        self._delta_arr = np.empty(0, dtype=np.float64)
         self._delta_values = []
         self._tombstones = set()
         self.stats.inserts += len(keys)
@@ -161,6 +164,7 @@ class PGMIndex(OrderedIndex):
             self._keys = np.asarray([k for k, _ in ordered], dtype=np.float64)
             self._values = [v for _, v in ordered]
             self._delta_keys = []
+            self._delta_arr = np.empty(0, dtype=np.float64)
             self._delta_values = []
             self._tombstones = set()
         self._train()
@@ -299,7 +303,7 @@ class PGMIndex(OrderedIndex):
         me = np.zeros(m, dtype=np.int64)
         last_window = None
         if d:
-            darr = np.asarray(self._delta_keys, dtype=np.float64)
+            darr = self._delta_arr
             dpos = np.searchsorted(darr, keys)
             delta_hit = (dpos < d) & (darr[np.minimum(dpos, d - 1)] == keys)
         else:
@@ -359,6 +363,7 @@ class PGMIndex(OrderedIndex):
             self._delta_values[dpos] = value
         else:
             self._delta_keys.insert(dpos, key)
+            self._delta_arr = np.insert(self._delta_arr, dpos, key)
             self._delta_values.insert(dpos, value)
         self.stats.node_accesses += 1
         if self._max_delta is not None and len(self._delta_keys) > self._max_delta:
@@ -368,6 +373,7 @@ class PGMIndex(OrderedIndex):
         dpos = bisect.bisect_left(self._delta_keys, key)
         if dpos < len(self._delta_keys) and self._delta_keys[dpos] == key:
             del self._delta_keys[dpos]
+            self._delta_arr = np.delete(self._delta_arr, dpos)
             del self._delta_values[dpos]
             self.stats.deletes += 1
             return

@@ -48,6 +48,8 @@ class RecursiveModelIndex(OrderedIndex):
         self._leaves: List[LinearModel] = []
         self._errors: List[Tuple[int, int]] = []
         self._delta_keys: List[float] = []
+        # float64 twin of _delta_keys for bulk lookups, kept in step.
+        self._delta_arr: np.ndarray = np.empty(0, dtype=np.float64)
         self._delta_values: List[Any] = []
         self._tombstones: set = set()
         # Optional workload-aware routing: leaf boundary keys derived
@@ -114,6 +116,7 @@ class RecursiveModelIndex(OrderedIndex):
         self._keys = np.asarray(keys, dtype=np.float64)
         self._values = values
         self._delta_keys = []
+        self._delta_arr = np.empty(0, dtype=np.float64)
         self._delta_values = []
         self._tombstones = set()
         self._boundaries = None
@@ -160,6 +163,7 @@ class RecursiveModelIndex(OrderedIndex):
             self._keys = np.asarray(merged_keys, dtype=np.float64)
             self._values = merged_values
             self._delta_keys = []
+            self._delta_arr = np.empty(0, dtype=np.float64)
             self._delta_values = []
             self._tombstones = set()
         self._train(access_sample)
@@ -299,7 +303,7 @@ class RecursiveModelIndex(OrderedIndex):
         na = np.zeros(m, dtype=np.int64)
         me = np.zeros(m, dtype=np.int64)
         if d:
-            darr = np.asarray(self._delta_keys, dtype=np.float64)
+            darr = self._delta_arr
             dpos = np.searchsorted(darr, keys)
             delta_hit = (dpos < d) & (darr[np.minimum(dpos, d - 1)] == keys)
         else:
@@ -371,6 +375,7 @@ class RecursiveModelIndex(OrderedIndex):
             self._delta_values[dpos] = value
         else:
             self._delta_keys.insert(dpos, key)
+            self._delta_arr = np.insert(self._delta_arr, dpos, key)
             self._delta_values.insert(dpos, value)
         self.stats.node_accesses += 1
         if self._max_delta is not None and len(self._delta_keys) > self._max_delta:
@@ -381,6 +386,7 @@ class RecursiveModelIndex(OrderedIndex):
         in_delta = dpos < len(self._delta_keys) and self._delta_keys[dpos] == key
         if in_delta:
             del self._delta_keys[dpos]
+            self._delta_arr = np.delete(self._delta_arr, dpos)
             del self._delta_values[dpos]
             self.stats.deletes += 1
             return

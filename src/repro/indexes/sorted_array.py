@@ -57,6 +57,7 @@ class SortedArrayIndex(OrderedIndex):
             return None
         if self._bulk_cache is None:
             self._bulk_cache = np.asarray(self._keys, dtype=np.float64)
+            self.stats.bulk_cache_builds += 1
         arr = self._bulk_cache
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         m = keys.size

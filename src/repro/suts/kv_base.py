@@ -52,15 +52,15 @@ class KVStoreBase(SystemUnderTest):
 
     def setup(self, pairs: List[Tuple[float, object]]) -> None:
         self.index.bulk_load(pairs)
-        self._mirror = sorted(k for k, _ in pairs)
+        self._mirror = sorted({k for k, _ in pairs})
         self._mirror_arr = None
 
     def inject(self, pairs: List[Tuple[float, object]]) -> None:
         """Bulk data injection: loads the index, skips the clock."""
+        self._mirror_arr = None
         for key, value in pairs:
             self.index.insert(key, value)
-            bisect.insort(self._mirror, key)
-        self._mirror_arr = None
+            self._mirror_add(key)
 
     def teardown(self) -> None:
         # Flush the index's cumulative work counters into the run's
@@ -70,10 +70,24 @@ class KVStoreBase(SystemUnderTest):
         self.tracer.counter("index.model_evaluations", stats.model_evaluations)
         self.tracer.counter("index.retrains", stats.retrains)
         self.tracer.counter("index.node_accesses", stats.node_accesses)
+        self.tracer.counter("index.bulk_cache_builds", stats.bulk_cache_builds)
         self._mirror = []
         self._mirror_arr = None
 
     # -- key snapping --------------------------------------------------------------
+
+    def _mirror_add(self, key: float) -> None:
+        """Add ``key`` to the sorted mirror (and its array twin) if absent.
+
+        Writing a stored key only overwrites its value in the index, so
+        the mirror must not grow a duplicate.
+        """
+        pos = bisect.bisect_left(self._mirror, key)
+        if pos < len(self._mirror) and self._mirror[pos] == key:
+            return
+        self._mirror.insert(pos, key)
+        if self._mirror_arr is not None:
+            self._mirror_arr = np.insert(self._mirror_arr, pos, key)
 
     def _snap(self, key: float) -> Optional[float]:
         """Nearest stored key to ``key`` (None when the store is empty)."""
@@ -125,8 +139,7 @@ class KVStoreBase(SystemUnderTest):
                 writes = 1
         elif query.op == KVOperation.INSERT:
             self.index.insert(query.key, now)
-            bisect.insort(self._mirror, query.key)
-            self._mirror_arr = None
+            self._mirror_add(query.key)
             writes = 1
         elif query.op == KVOperation.SCAN:
             if self._mirror:

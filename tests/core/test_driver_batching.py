@@ -24,8 +24,9 @@ from repro.errors import DriverError
 from repro.observability import NullTracer, Tracer
 from repro.suts.kv_learned import LearnedKVStore
 from repro.suts.kv_traditional import TraditionalKVStore
+from repro.suts.kv_variants import AlexKVStore, PGMKVStore
 from repro.workloads.distributions import UniformDistribution, ZipfDistribution
-from repro.workloads.drift import AbruptDrift
+from repro.workloads.drift import AbruptDrift, NoDrift
 from repro.workloads.generators import (
     KVOperation,
     OperationMix,
@@ -69,6 +70,30 @@ def _mixed_scenario(seed: int = 11, extra_segments: Optional[List[Segment]] = No
         segments=segments,
         seed=seed,
         initial_keys=np.linspace(0, 1000, 2000),
+    )
+
+
+def _ycsb_a_scenario(seed: int = 5):
+    """YCSB-A shape: reads beside updates of stored keys and new inserts,
+    so nearly every read run follows a write."""
+    spec = WorkloadSpec(
+        name="ycsb-a",
+        mix=OperationMix(
+            {
+                KVOperation.READ: 0.5,
+                KVOperation.UPDATE: 0.45,
+                KVOperation.INSERT: 0.05,
+            }
+        ),
+        key_drift=NoDrift(UniformDistribution(0, 1000)),
+        arrivals=ConstantArrivals(3000.0),
+    )
+    return Scenario(
+        name="ycsb-a",
+        segments=[Segment(spec=spec, duration=1.5)],
+        seed=seed,
+        initial_keys=np.linspace(0, 1000, 2000),
+        tick_interval=0.1,
     )
 
 
@@ -119,6 +144,31 @@ class TestBatchedEqualsScalar:
             LearnedKVStore, _mixed_scenario, servers=servers
         )
         _assert_identical(batched, scalar)
+
+    @pytest.mark.parametrize("servers", [1, 4])
+    @pytest.mark.parametrize(
+        "sut_factory",
+        [TraditionalKVStore, LearnedKVStore, PGMKVStore, AlexKVStore],
+        ids=["btree-kv", "learned-kv", "pgm-kv", "alex-kv"],
+    )
+    def test_write_heavy_mix(self, sut_factory, servers):
+        """Read caches kept in step with writes (B+ tree flattening,
+        learned delta buffers, the snap mirror) serve every read run
+        exactly as the scalar path does."""
+        batched, scalar = _run_both(sut_factory, _ycsb_a_scenario, servers=servers)
+        _assert_identical(batched, scalar)
+        assert batched.columns.arrivals.size == 4500
+
+    def test_write_heavy_mix_counts_few_btree_cache_builds(self):
+        """Telemetry counts full B+ tree cache builds: with writes kept in
+        step, far fewer than the read runs that follow writes."""
+        tracer = Tracer()
+        VirtualClockDriver(DriverConfig(), tracer=tracer).run(
+            TraditionalKVStore(), _ycsb_a_scenario()
+        )
+        counters = tracer.counters
+        builds = counters["index.bulk_cache_builds"]
+        assert 1 <= builds < counters["kv.bulk_hit_runs"] / 10
 
     def test_k_server_heap_threads_across_blocks(self):
         """Four servers near saturation, cut into small blocks: most

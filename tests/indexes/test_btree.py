@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -107,3 +111,72 @@ class TestNodeAccounting:
         deep.get(key)
         d_deep = deep.stats.snapshot().diff(s1)
         assert d_deep.node_accesses > d_shallow.node_accesses
+
+
+class TestBulkCache:
+    """Writes keep, patch or drop the bulk-lookup cache; never stale it."""
+
+    def _warm(self, order=8):
+        tree = BPlusTree(order=order)
+        tree.bulk_load([(float(k), k) for k in range(0, 200, 2)])
+        assert tree.bulk_lookup(np.asarray([0.0, 10.0])) is not None
+        assert tree.stats.bulk_cache_builds == 1
+        return tree
+
+    def test_value_update_keeps_cache(self):
+        tree = self._warm()
+        cache = tree._bulk_cache
+        tree.insert(10.0, "new")
+        assert tree._bulk_cache is cache
+        assert tree.get(10.0) == "new"
+
+    def test_new_key_without_split_patches_cache(self):
+        tree = self._warm()
+        tree.insert(11.0, "x")
+        assert isinstance(tree._bulk_cache, tuple)
+        out = tree.bulk_lookup(np.asarray([11.0, 12.0]))
+        assert out is not None
+        assert tree.stats.bulk_cache_builds == 1
+        for got, want in zip(tree._bulk_cache, tree._build_bulk_cache()):
+            assert np.array_equal(got, want)
+
+    def test_split_delete_and_reload_drop_cache(self):
+        tree = self._warm(order=4)
+        for k in (1.0, 1.5, 1.75):
+            tree.insert(k, "x")  # the first leaf overflows and splits
+        assert tree._bulk_cache is None
+        tree.bulk_lookup(np.asarray([0.0]))
+        tree.delete(0.0)
+        assert tree._bulk_cache is None
+        tree.bulk_lookup(np.asarray([2.0]))
+        tree.bulk_load([(1.0, 1)])
+        assert tree._bulk_cache is None
+        assert tree.stats.bulk_cache_builds == 3
+
+    def test_nan_key_makes_cache_unsupported(self):
+        """NaN defeats the order checks and routing, so a tree holding
+        one is served by scalar lookups."""
+        tree = self._warm()
+        tree.insert(float("nan"), "x")
+        assert tree._bulk_cache is None
+        assert tree.bulk_lookup(np.asarray([0.0])) is None
+        assert tree._bulk_cache is False
+
+    def test_cache_build_does_not_pin_leaves(self):
+        """Dropping the tree frees its nodes without the cyclic GC."""
+        tree = BPlusTree(order=4)
+        tree.bulk_load([(float(k), k) for k in range(100)])
+        assert tree.bulk_lookup(np.asarray([3.0])) is not None
+        leaf = tree._root
+        while not leaf.leaf:
+            leaf = leaf.children[0]
+        ref = weakref.ref(leaf)
+        del leaf
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del tree
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -66,6 +66,23 @@ class TestKVBase:
         sut.inject([(1e9, None), (2e9, None)])
         assert sut.stored_keys == len(pairs) + 2
 
+    def test_insert_of_stored_key_does_not_duplicate_mirror(self):
+        sut = TraditionalKVStore()
+        sut.setup([(1.0, "a"), (2.0, "b"), (3.0, "c")])
+        sut._snap_batch(np.asarray([2.0]))  # materialize the array twin
+        sut.execute(_query(KVOperation.INSERT, 2.0), 0.0)
+        sut.inject([(3.0, None)])
+        assert sut.stored_keys == len(sut.index) == 3
+        assert sut._mirror == [1.0, 2.0, 3.0]
+
+    def test_new_insert_patches_mirror_array(self):
+        sut = TraditionalKVStore()
+        sut.setup([(1.0, "a"), (3.0, "c")])
+        sut._snap_batch(np.asarray([2.0]))
+        sut.execute(_query(KVOperation.INSERT, 2.0), 0.0)
+        assert sut._mirror_arr is not None
+        assert sut._mirror_arr.tolist() == [1.0, 2.0, 3.0]
+
 
 class TestTraditional:
     def test_tuning_speeds_up(self, pairs):
